@@ -230,7 +230,6 @@ let closure_par ~scale ~jobs () =
           Printf.printf "\n%!")
         [
           (Graphlib.Closure.Scc_condense, Graphlib.Closure.Par_scc);
-          (Graphlib.Closure.Dfs, Graphlib.Closure.Par_dfs);
         ];
       Buffer.add_string buf "\n    ]}")
     [

@@ -251,13 +251,12 @@ let run_round ~exe ~scratch ~snapshot_every rng round =
 
 (* ---------------------- a mid-bulk-stream round ---------------------- *)
 
-(* the script is a protocol-v2 BULK stream killed mid-flight (kill -9
-   from outside, or a crash failpoint in the WAL append path, so torn
-   chunk tails are exercised too).  Atomicity is per chunk: the
-   recovered server must answer exactly like the acknowledged chunk
-   prefix, or that prefix plus the single in-flight chunk.  The server
-   runs with --group-commit so the batched fsync path is the one under
-   fire. *)
+(* the script is a BULK stream killed mid-flight (kill -9 from outside,
+   or a crash failpoint in the WAL append path, so torn chunk tails are
+   exercised too).  Atomicity is per chunk: the recovered server must
+   answer exactly like the acknowledged chunk prefix, or that prefix
+   plus the single in-flight chunk.  The server runs with --group-commit
+   so the batched fsync path is the one under fire. *)
 let run_bulk_round ~exe ~scratch ~snapshot_every rng round =
   let session = "chaos" in
   let data_dir = Filename.concat scratch (Printf.sprintf "bulk%d" round) in
@@ -268,10 +267,6 @@ let run_bulk_round ~exe ~scratch ~snapshot_every rng round =
     spawn_server ~group_commit:true ~exe ~sock ~data_dir ~snapshot_every ()
   in
   let conn = wait_listening sock in
-  (match Client.hello conn with
-  | Result.Ok (v, _) when v >= 2 -> ()
-  | Result.Ok (v, _) -> failwith (Printf.sprintf "server granted v%d, need v2" v)
-  | Result.Error e -> failwith ("HELLO failed: " ^ e));
   let tbox =
     Wire.Load { session; kind = Wire.K_tbox; payload = tbox_payloads.(0) }
   in
@@ -393,22 +388,19 @@ let repl_status ep =
     Fun.protect
       ~finally:(fun () -> Client.close conn)
       (fun () ->
-        match Client.hello ~version:3 conn with
+        match Client.ok_payload (Client.request conn Wire.Repl_status) with
         | Result.Error e -> Result.Error e
-        | Result.Ok _ -> (
-          match Client.ok_payload (Client.request conn Wire.Repl_status) with
-          | Result.Error e -> Result.Error e
-          | Result.Ok [ line ] ->
-            Result.Ok
-              (String.split_on_char ' ' line
-              |> List.filter_map (fun tok ->
-                     match String.index_opt tok '=' with
-                     | None -> None
-                     | Some i ->
-                       Some
-                         ( String.sub tok 0 i,
-                           String.sub tok (i + 1) (String.length tok - i - 1) )))
-          | Result.Ok _ -> Result.Error "malformed STATUS reply"))
+        | Result.Ok [ line ] ->
+          Result.Ok
+            (String.split_on_char ' ' line
+            |> List.filter_map (fun tok ->
+                   match String.index_opt tok '=' with
+                   | None -> None
+                   | Some i ->
+                     Some
+                       ( String.sub tok 0 i,
+                         String.sub tok (i + 1) (String.length tok - i - 1) )))
+        | Result.Ok _ -> Result.Error "malformed STATUS reply")
 
 let wait_subscribers ep n ~timeout =
   let deadline = Unix.gettimeofday () +. timeout in
@@ -515,10 +507,6 @@ let run_cluster_round ~exe ~scratch ~snapshot_every ~bulk rng round times =
      not start writing before both replicas are subscribed *)
   if not (wait_subscribers p_ep 2 ~timeout:10.0) then
     failwith "replicas did not subscribe";
-  (match Client.hello conn with
-   | Result.Ok (v, _) when v >= 3 -> ()
-   | Result.Ok (v, _) -> failwith (Printf.sprintf "server granted v%d, need v3" v)
-   | Result.Error e -> failwith ("HELLO failed: " ^ e));
   let tbox =
     Wire.Load { session; kind = Wire.K_tbox; payload = tbox_payloads.(0) }
   in
@@ -741,8 +729,8 @@ let () =
   let bulk_arg =
     Arg.(value & flag
          & info [ "bulk" ]
-             ~doc:"Kill the server mid-BULK-stream (protocol v2, group \
-                   commit) instead of running the mixed mutation script.")
+             ~doc:"Kill the server mid-BULK-stream (group commit) \
+                   instead of running the mixed mutation script.")
   in
   let cluster_arg =
     Arg.(value & flag

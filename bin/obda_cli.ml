@@ -50,7 +50,7 @@ let classify_cmd =
       | Some a -> a
       | None ->
         Printf.eprintf
-          "unknown algorithm %s (use dfs, warshall, scc, par-dfs or par-scc)\n"
+          "unknown algorithm %s (use dfs, warshall, scc or par-scc)\n"
           algorithm;
         exit 1
     in
@@ -77,8 +77,7 @@ let classify_cmd =
   let algorithm =
     Arg.(value & opt string "scc"
          & info [ "algorithm" ]
-             ~doc:"Transitive-closure algorithm: dfs, warshall, scc, par-dfs or \
-                   par-scc.")
+             ~doc:"Transitive-closure algorithm: dfs, warshall, scc or par-scc.")
   in
   let jobs =
     Arg.(value & opt (some int) None
@@ -533,19 +532,9 @@ let query_cmd =
       Option.iter (load Server.Wire.K_facts) data;
       Option.iter
         (fun path ->
-          (* streaming ingestion: negotiate protocol v2, then feed the
-             file to the server chunk by chunk — the file is never
-             materialized in memory on either side *)
-          (match Server.Client.hello conn with
-           | Error e ->
-             Printf.eprintf "error: HELLO: %s\n" e;
-             exit 4
-           | Ok (v, _) when v < 2 ->
-             Printf.eprintf
-               "server error: bulk load needs protocol v2; server granted v%d\n"
-               v;
-             exit 4
-           | Ok _ -> ());
+          (* streaming ingestion: feed the file to the server chunk by
+             chunk — the file is never materialized in memory on either
+             side *)
           let ic = open_in path in
           let rec lines () =
             match input_line ic with
@@ -666,9 +655,9 @@ let query_cmd =
   let bulk_arg =
     Arg.(value & opt (some file) None
          & info [ "bulk" ] ~docv:"FILE"
-             ~doc:"Stream raw database facts from FILE via the v2 LOAD BULK \
-                   verb: the file is sent in atomic chunks (see --chunk) \
-                   without being held in memory.")
+             ~doc:"Stream raw database facts from FILE via the BULK verb: \
+                   the file is sent in atomic chunks (see --chunk) without \
+                   being held in memory.")
   in
   let chunk_arg =
     Arg.(value & opt int 1000

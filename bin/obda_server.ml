@@ -47,8 +47,7 @@ let run unix_path tcp_port host workers queue timeout lru presto algorithm
        | Some a -> Some a
        | None ->
          Printf.eprintf
-           "error: unknown algorithm %s (use dfs, warshall, scc, par-dfs or \
-            par-scc)\n"
+           "error: unknown algorithm %s (use dfs, warshall, scc or par-scc)\n"
            s;
          exit 2)
   in
@@ -99,8 +98,8 @@ let run unix_path tcp_port host workers queue timeout lru presto algorithm
               snapshot no longer stalls the mutation that tripped it *)
            let exec =
              Parallel.Executor.create
-               ~registry:(Server.Service.registry service) ~workers:1
-               ~queue_capacity:1 ()
+               ~registry:(Server.Service.registry service) ~name:"snapshot"
+               ~workers:1 ~queue_capacity:1 ()
            in
            snapshot_exec := Some exec;
            Server.Service.set_snapshot_executor service exec;
@@ -164,7 +163,7 @@ let run unix_path tcp_port host workers queue timeout lru presto algorithm
   Printf.printf "workers=%d queue=%d timeout=%.1fs lru=%d mode=%s proto=v%d\n%!"
     workers queue timeout lru
     (Obda.Engine.string_of_mode service_config.Server.Service.Config.mode)
-    Server.Wire.max_version;
+    Server.Wire.version;
   Server.Serve.start srv;
   (* all worker domains / handler threads inherit the blocked mask set
      below, so TERM and INT are delivered to exactly this sigwait *)
@@ -227,7 +226,7 @@ let () =
     Arg.(value & opt (some string) None
          & info [ "algorithm" ] ~docv:"ALGO"
              ~doc:"Transitive-closure algorithm for CLASSIFY: dfs, warshall, \
-                   scc, par-dfs or par-scc.")
+                   scc or par-scc.")
   in
   let classify_jobs_arg =
     Arg.(value & opt (some int) None

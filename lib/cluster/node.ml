@@ -359,12 +359,9 @@ let promote_best endpoints =
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          match Client.hello ~version:3 c with
+          match
+            Client.ok_payload
+              (Client.request c (Wire.Repl_promote { epoch = max_epoch + 1 }))
+          with
           | Result.Error _ as e -> e
-          | Result.Ok _ -> (
-            match
-              Client.ok_payload
-                (Client.request c (Wire.Repl_promote { epoch = max_epoch + 1 }))
-            with
-            | Result.Error _ as e -> e
-            | Result.Ok _ -> Result.Ok (best, max_epoch + 1))))
+          | Result.Ok _ -> Result.Ok (best, max_epoch + 1)))

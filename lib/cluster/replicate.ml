@@ -543,23 +543,19 @@ module Subscriber = struct
             try Unix.close conn.Client.fd with Unix.Unix_error _ -> ())
         (fun () ->
           locked t (fun () -> t.conn_fd <- Some conn.Client.fd);
-          let exchange req = Client.exchange_conn conn req in
-          match exchange (Wire.Hello 3) with
-          | Result.Ok (Wire.Ok _) -> (
-            match
-              exchange
-                (Wire.Repl_subscribe
-                   { fence = Store.last_seq t.store; epoch = t.epoch () })
-            with
-            | Result.Ok (Wire.Ok _) ->
-              t.on_primary endpoint;
-              Obs.Counter.incr t.m_reconnects;
-              Log.info (fun f -> f "subscriber: following %s" endpoint);
-              stream t conn.Client.fd conn.Client.reader;
-              finished := true;
-              (try Unix.close conn.Client.fd with Unix.Unix_error _ -> ());
-              true
-            | _ -> false)
+          match
+            Client.exchange_conn conn
+              (Wire.Repl_subscribe
+                 { fence = Store.last_seq t.store; epoch = t.epoch () })
+          with
+          | Result.Ok (Wire.Ok _) ->
+            t.on_primary endpoint;
+            Obs.Counter.incr t.m_reconnects;
+            Log.info (fun f -> f "subscriber: following %s" endpoint);
+            stream t conn.Client.fd conn.Client.reader;
+            finished := true;
+            (try Unix.close conn.Client.fd with Unix.Unix_error _ -> ());
+            true
           | _ -> false)
 
   let find_primary t =

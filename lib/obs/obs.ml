@@ -1,8 +1,9 @@
 (** Unified observability: a typed metrics registry plus trace spans.
 
-    One process-wide vocabulary of metrics replaces the ad-hoc stats
-    that used to live in each layer ([Service.op_stats], [Lru.stats],
-    [Executor.stats]).  Three metric kinds:
+    One process-wide vocabulary of metrics is the only home of every
+    layer's counts: the service's per-op latencies, the caches' hits
+    and misses, the executors' admissions and sheds.  Three metric
+    kinds:
 
     - {e counters} — monotonically increasing integers ([Atomic.t], so
       increments from any number of domains lose no counts);

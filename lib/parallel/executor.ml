@@ -17,16 +17,6 @@
     no timed waits are needed here — callers that want a timeout poll
     their own result cell. *)
 
-type stats = {
-  submitted : int;   (** accepted by [try_submit] *)
-  rejected : int;    (** refused: queue full or shutting down *)
-  completed : int;   (** tasks that finished running *)
-  queued : int;      (** currently waiting *)
-  running : int;     (** currently executing *)
-  workers : int;
-  queue_capacity : int;
-}
-
 (* Registry handles resolved once at [create]: the per-event updates on
    the hot path are then a counter increment / gauge store each. *)
 type metrics = {
@@ -43,25 +33,18 @@ type t = {
   idle : Condition.t;  (** signalled whenever queue and running reach 0 *)
   queue : (unit -> unit) Queue.t;
   queue_capacity : int;
-  workers : int;
-  metrics : metrics option;
+  metrics : metrics;
   mutable domains : unit Domain.t array;
   mutable paused : bool;
   mutable draining : bool;  (** no new admissions; drain what is queued *)
   mutable stop : bool;
   mutable running : int;
-  mutable submitted : int;
-  mutable rejected : int;
-  mutable completed : int;
 }
 
 (* call with t.mutex held *)
 let sync_metrics t =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    Obs.Gauge.set m.m_queue_depth (float_of_int (Queue.length t.queue));
-    Obs.Gauge.set m.m_running (float_of_int t.running)
+  Obs.Gauge.set t.metrics.m_queue_depth (float_of_int (Queue.length t.queue));
+  Obs.Gauge.set t.metrics.m_running (float_of_int t.running)
 
 let worker t =
   Mutex.lock t.mutex;
@@ -80,62 +63,49 @@ let worker t =
       (try task () with _ -> ());
       Mutex.lock t.mutex;
       t.running <- t.running - 1;
-      t.completed <- t.completed + 1;
-      (match t.metrics with
-       | None -> ()
-       | Some m -> Obs.Counter.incr m.m_completed);
+      Obs.Counter.incr t.metrics.m_completed;
       sync_metrics t;
       if Queue.is_empty t.queue && t.running = 0 then Condition.broadcast t.idle
     end
   done;
   Mutex.unlock t.mutex
 
-(** [create ?registry ~workers ~queue_capacity ()] spawns
+(** [create ~registry ~name ~workers ~queue_capacity ()] spawns
     [max 1 workers] domains servicing a queue that admits at most
-    [max 1 queue_capacity] waiting tasks.  With [registry] the executor
-    publishes [obda_executor_*] metrics (submissions, shed count via
+    [max 1 queue_capacity] waiting tasks.  The executor publishes
+    [obda_executor_*] metrics (submissions, shed count via
     [rejected_total], completions, queue depth and running-worker
-    gauges) into it. *)
-let create ?registry ~workers ~queue_capacity () =
+    gauges) into [registry], every series labelled [executor=name] so
+    that several executors can share one registry. *)
+let create ~registry ~name ~workers ~queue_capacity () =
   let workers = max 1 workers in
-  let metrics =
-    Option.map
-      (fun registry ->
-        let counter = Obs.Registry.counter registry in
-        let gauge name = Obs.Registry.gauge registry name in
-        let m =
-          {
-            m_submitted = counter "obda_executor_submitted_total";
-            m_rejected = counter "obda_executor_rejected_total";
-            m_completed = counter "obda_executor_completed_total";
-            m_queue_depth = gauge "obda_executor_queue_depth";
-            m_running = gauge "obda_executor_running";
-          }
-        in
-        Obs.Gauge.set (gauge "obda_executor_workers") (float_of_int workers);
-        Obs.Gauge.set
-          (gauge "obda_executor_queue_capacity")
-          (float_of_int (max 1 queue_capacity));
-        m)
-      registry
-  in
+  let queue_capacity = max 1 queue_capacity in
+  let labels = [ ("executor", name) ] in
+  let counter = Obs.Registry.counter registry ~labels in
+  let gauge = Obs.Registry.gauge registry ~labels in
+  Obs.Gauge.set (gauge "obda_executor_workers") (float_of_int workers);
+  Obs.Gauge.set (gauge "obda_executor_queue_capacity")
+    (float_of_int queue_capacity);
   let t =
     {
       mutex = Mutex.create ();
       has_work = Condition.create ();
       idle = Condition.create ();
       queue = Queue.create ();
-      queue_capacity = max 1 queue_capacity;
-      workers;
-      metrics;
+      queue_capacity;
+      metrics =
+        {
+          m_submitted = counter "obda_executor_submitted_total";
+          m_rejected = counter "obda_executor_rejected_total";
+          m_completed = counter "obda_executor_completed_total";
+          m_queue_depth = gauge "obda_executor_queue_depth";
+          m_running = gauge "obda_executor_running";
+        };
       domains = [||];
       paused = false;
       draining = false;
       stop = false;
       running = 0;
-      submitted = 0;
-      rejected = 0;
-      completed = 0;
     }
   in
   t.domains <- Array.init workers (fun _ -> Domain.spawn (fun () -> worker t));
@@ -148,18 +118,12 @@ let try_submit t task =
   Mutex.lock t.mutex;
   let admitted =
     if t.draining || t.stop || Queue.length t.queue >= t.queue_capacity then begin
-      t.rejected <- t.rejected + 1;
-      (match t.metrics with
-       | None -> ()
-       | Some m -> Obs.Counter.incr m.m_rejected);
+      Obs.Counter.incr t.metrics.m_rejected;
       false
     end
     else begin
       Queue.push task t.queue;
-      t.submitted <- t.submitted + 1;
-      (match t.metrics with
-       | None -> ()
-       | Some m -> Obs.Counter.incr m.m_submitted);
+      Obs.Counter.incr t.metrics.m_submitted;
       sync_metrics t;
       Condition.signal t.has_work;
       true
@@ -211,19 +175,3 @@ let shutdown t =
   Mutex.unlock t.mutex;
   Array.iter Domain.join t.domains;
   t.domains <- [||]
-
-let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    {
-      submitted = t.submitted;
-      rejected = t.rejected;
-      completed = t.completed;
-      queued = Queue.length t.queue;
-      running = t.running;
-      workers = t.workers;
-      queue_capacity = t.queue_capacity;
-    }
-  in
-  Mutex.unlock t.mutex;
-  s

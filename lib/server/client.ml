@@ -34,9 +34,6 @@ type t = {
   mutable primary : int option;
       (** endpoint believed to be the cluster primary; [None] until a
           write is redirected or a probe resolves one *)
-  mutable hello_version : int option;
-      (** re-negotiated on every fresh dial once {!hello} has run — a
-          failover mid-BULK must not silently drop back to v1 *)
   retries : int;
   base_delay : float;
   max_delay : float;
@@ -115,7 +112,6 @@ let connect ?(retries = 0) ?(base_delay = 0.05) ?(max_delay = 2.0)
         endpoints;
         active;
         primary = None;
-        hello_version = None;
         retries;
         base_delay;
         max_delay;
@@ -182,41 +178,23 @@ let read_reply_conn conn =
       collect n []))
 
 (* one blocking request/reply on a raw connection, bypassing the retry
-   machinery — used for HELLO replay and endpoint probing *)
+   machinery — used for endpoint probing and replication subscribe *)
 let exchange_conn conn req =
   match send_conn conn (Wire.encode_request req) with
   | Result.Error _ as e -> e
   | Result.Ok () -> read_reply_conn conn
 
-(* re-establish after a drop; counted — the initial dial is not.  A
-   fresh connection starts at protocol v1, so once [hello] has
-   negotiated a version we replay the handshake here: a reconnect (or a
-   failover) must not silently downgrade the stream mid-BULK. *)
+(* re-establish after a drop; counted — the initial dial is not *)
 let ensure_conn t =
   match t.conn with
   | Some c -> Result.Ok c
   | None -> (
     match dial (endpoint t) with
     | Result.Error _ as e -> e
-    | Result.Ok c -> (
+    | Result.Ok c ->
       Obs.Counter.incr t.m_reconnects;
-      let renegotiated =
-        match t.hello_version with
-        | None -> Result.Ok ()
-        | Some v -> (
-          match exchange_conn c (Wire.Hello v) with
-          | Result.Ok (Wire.Ok _) -> Result.Ok ()
-          | Result.Ok (Wire.Err m) -> Result.Error ("HELLO replay: " ^ m)
-          | Result.Ok Wire.Busy -> Result.Error "HELLO replay: server busy"
-          | Result.Error _ as e -> e)
-      in
-      match renegotiated with
-      | Result.Ok () ->
-        t.conn <- Some c;
-        Result.Ok c
-      | Result.Error _ as e ->
-        (try Unix.close c.fd with Unix.Unix_error _ -> ());
-        e))
+      t.conn <- Some c;
+      Result.Ok c)
 
 (* ------------------------- failover routing ------------------------- *)
 
@@ -234,8 +212,8 @@ type endpoint_state = {
   es_error : string option;
 }
 
-(* one-shot probe over a throwaway connection: HELLO 3 + REPL STATUS.
-   The status payload is a single line of [k=v] pairs
+(* one-shot probe over a throwaway connection: one REPL STATUS.  The
+   status payload is a single line of [k=v] pairs
    (role/epoch/fence/primary). *)
 let probe_endpoint spec =
   match dial spec with
@@ -248,17 +226,12 @@ let probe_endpoint spec =
         try Unix.close conn.fd with Unix.Unix_error _ -> ())
       (fun () ->
         let status =
-          match exchange_conn conn (Wire.Hello 3) with
+          match exchange_conn conn Wire.Repl_status with
           | Result.Error _ as e -> e
-          | Result.Ok (Wire.Err m) -> Result.Error ("HELLO: " ^ m)
+          | Result.Ok (Wire.Ok [ line ]) -> Result.Ok line
+          | Result.Ok (Wire.Err m) -> Result.Error m
           | Result.Ok Wire.Busy -> Result.Error "server busy"
-          | Result.Ok (Wire.Ok _) -> (
-            match exchange_conn conn Wire.Repl_status with
-            | Result.Error _ as e -> e
-            | Result.Ok (Wire.Ok [ line ]) -> Result.Ok line
-            | Result.Ok (Wire.Err m) -> Result.Error m
-            | Result.Ok Wire.Busy -> Result.Error "server busy"
-            | Result.Ok (Wire.Ok _) -> Result.Error "malformed STATUS reply")
+          | Result.Ok (Wire.Ok _) -> Result.Error "malformed STATUS reply"
         in
         match status with
         | Result.Error e ->
@@ -489,14 +462,13 @@ let stats ?session t =
 (** [metrics t] — the Prometheus-style text exposition, as lines. *)
 let metrics t = ok_payload (request t Wire.Metrics)
 
-(* --------------------------- protocol v2 ----------------------------- *)
+(* ------------------------- HELLO and BULK ---------------------------- *)
 
-(** [hello ?version t] — negotiate the connection's protocol version.
-    Returns [(granted, capabilities)]; the server grants
-    [min version its-max].  Bulk ingestion requires a granted version
-    ≥ 2 (capability ["bulk"]). *)
-let hello ?(version = Wire.max_version) t =
-  t.hello_version <- Some version;
+(** [hello ?version t] — the optional capability probe.  Returns
+    [(version, capabilities)] as the server advertises them; the
+    server's answer does not depend on [version], and no other verb
+    needs a HELLO first. *)
+let hello ?(version = Wire.version) t =
   match ok_payload (request t (Wire.Hello version)) with
   | Result.Error _ as e -> e
   | Result.Ok [ line ] -> (

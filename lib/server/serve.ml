@@ -11,6 +11,9 @@
     stays bounded either way: a full queue turns into an immediate
     [BUSY] reply instead of an ever-growing backlog.
 
+    Connections carry no protocol state: every verb is accepted on
+    every connection, with or without a [HELLO].
+
     Each dispatched request gets a deadline.  OCaml's [Condition] has no
     timed wait, so the handler polls its result cell at millisecond
     granularity — crude but dependency-free, and the polling thread is a
@@ -98,8 +101,8 @@ let create ?(config = default_config) ?repl_hooks service =
   {
     service;
     exec =
-      Parallel.Executor.create ~registry ~workers:config.workers
-        ~queue_capacity:config.queue_capacity ();
+      Parallel.Executor.create ~registry ~name:"requests"
+        ~workers:config.workers ~queue_capacity:config.queue_capacity ();
     config;
     repl = repl_hooks;
     rm =
@@ -215,12 +218,6 @@ let forget_conn t fd =
 let handle_connection t fd =
   let reader = Durable.Io.reader fd in
   let decoder = Wire.decoder ~limits:t.config.limits () in
-  (* the negotiated protocol version is per-connection state: bare
-     clients that never send HELLO stay on v1 and keep the PR-6 verb
-     set; v2-only verbs are refused with a pointed ERR instead of a
-     parse failure, so an old server and a missing handshake are
-     distinguishable from a typo *)
-  let proto = ref 1 in
   let rec loop () =
     match
       Durable.Io.read_line reader ~max_line:t.config.limits.Wire.max_line
@@ -233,24 +230,10 @@ let handle_connection t fd =
         send_reply fd (Wire.Err e);
         loop ()
       | Wire.Request Wire.Quit -> send_reply fd (Wire.Ok [])
-      | Wire.Request (Wire.Hello v) ->
-        let granted = min v Wire.max_version in
-        proto := granted;
-        send_reply fd (Wire.Ok [ Wire.hello_reply granted ]);
-        loop ()
-      | Wire.Request request when Wire.min_version request > !proto ->
-        let v = Wire.min_version request in
-        let verb =
-          match request with
-          | Wire.Bulk_chunk _ | Wire.Bulk_end _ | Wire.Bulk_abort _ -> "BULK"
-          | Wire.Repl_subscribe _ | Wire.Repl_status | Wire.Repl_promote _ ->
-            "REPL"
-          | _ -> "this verb"
-        in
-        send_reply fd
-          (Wire.Err
-             (Printf.sprintf "%s requires protocol v%d: send HELLO %d first"
-                verb v v));
+      (* HELLO is a constant capability probe, answered inline: never
+         queued, never BUSY *)
+      | Wire.Request (Wire.Hello _) ->
+        send_reply fd (Wire.Ok [ Wire.hello_reply ]);
         loop ()
       (* REPL verbs run inline on the connection thread, never queued:
          failover must be able to probe and promote a node whose

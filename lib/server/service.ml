@@ -948,10 +948,10 @@ let rec handle ?(internal = false) t request =
 and handle_checked ~internal t request =
   let log = not internal in
   match request with
-  | Wire.Hello v ->
-    (* embedded callers get the handshake as a plain reply; the serving
-       layer additionally records the granted version per connection *)
-    Wire.Ok [ Wire.hello_reply (min v Wire.max_version) ]
+  | Wire.Hello _ ->
+    (* embedded callers get the same constant reply the serving layer
+       answers inline *)
+    Wire.Ok [ Wire.hello_reply ]
   | Wire.Bulk_chunk { session = name; payload } ->
     let s = get_or_create_session t name in
     let reply =

@@ -1,9 +1,11 @@
 (** The line-based wire protocol, as a pure codec.
 
-    Requests (one header line, plus [n] raw payload lines for [LOAD]):
+    There is one protocol and every verb is accepted on every
+    connection.  Requests (one header line, plus [n] raw payload lines
+    for [LOAD] and [BULK ... FACTS]):
 
     {v
-      HELLO <proto-version>
+      HELLO <n>
       LOAD <session> TBOX|MAPPINGS|ABOX|FACTS <n>
       <n raw payload lines>
       BULK <session> FACTS <n>
@@ -17,25 +19,28 @@
       STATS [<session>]
       METRICS
       FAIL <failpoint> <spec>
+      REPL SUBSCRIBE <fence> <epoch>
+      REPL STATUS
+      REPL PROMOTE <epoch>
       QUIT
     v}
 
-    [HELLO n] negotiates the protocol version for the connection: the
-    server replies [OK 1] with a payload line [v<version> <capabilities>]
-    carrying the granted version (the minimum of the request and the
-    server's {!max_version}) and its capability tokens.  Clients that
-    skip the handshake speak protocol v1 — the verb set of PR 6 —
-    unchanged; v2-only verbs ([BULK]) are {e capability-gated}: on a v1
-    connection the server refuses them with a pointed ERR instead of a
-    generic parse failure.
+    [HELLO] is an optional capability probe: whatever [n] a client
+    sends, the server answers the constant {!hello_reply} line
+    ([v3 bulk repl]).  It changes nothing on the connection.
 
-    [BULK] is the streaming ingestion verb (v2): facts arrive in
+    [BULK] is the streaming ingestion verb: facts arrive in
     length-prefixed chunks, each validated, WAL-logged and applied
     {e atomically} — a malformed line rejects only its own chunk, and a
     kill-9 can only lose un-acked chunks.  [END] closes the stream and
     invalidates the session's answer cache once; [ABORT] just closes it
     (acked chunks are already durable and stay — atomicity is per
     chunk, not per stream).
+
+    [REPL] verbs drive replication: [STATUS] probes a node's role,
+    epoch and fence, [PROMOTE] makes a replica primary, and
+    [SUBSCRIBE] turns the connection into a record stream (see
+    {!frame}).
 
     [FAIL] arms (or, with spec [off], disarms) a named failpoint in the
     durable I/O or request path — chaos tooling only, and the service
@@ -87,10 +92,10 @@ type query_ref =
   | Inline of string  (** query text on the ASK line itself *)
 
 type request =
-  | Hello of int  (** protocol negotiation; handled at the connection layer *)
+  | Hello of int  (** capability probe; the number is accepted and ignored *)
   | Load of { session : string; kind : load_kind; payload : string list }
   | Bulk_chunk of { session : string; payload : string list }
-      (** one atomic chunk of a streaming FACTS load (v2) *)
+      (** one atomic chunk of a streaming FACTS load *)
   | Bulk_end of { session : string }
       (** close the stream; answer caches are invalidated here, once *)
   | Bulk_abort of { session : string }
@@ -104,38 +109,19 @@ type request =
       (** arm/disarm a failpoint; honoured only under [--chaos] *)
   | Repl_subscribe of { fence : int; epoch : int }
       (** become a replication subscriber: the connection turns into a
-          record stream after the reply (v3) *)
+          record stream after the reply *)
   | Repl_status  (** role / epoch / fence probe — cheap, never queued *)
   | Repl_promote of { epoch : int }
-      (** promote this replica to primary under [epoch] (v3) *)
+      (** promote this replica to primary under [epoch] *)
   | Quit
 
-(* --------------------------- protocol versions ----------------------- *)
+(* ------------------------------ HELLO -------------------------------- *)
 
-(** Highest protocol version this codec speaks. *)
-let max_version = 3
+(** The protocol version the codec speaks; the only one there is. *)
+let version = 3
 
-(** Capability tokens advertised in the HELLO reply, protocol-version
-    gated: a v1 connection has no capabilities beyond the base verbs. *)
-let capabilities_of_version v =
-  (if v >= 2 then [ "bulk" ] else []) @ if v >= 3 then [ "repl" ] else []
-
-(** The HELLO reply payload line: [v<n> <capabilities...>]. *)
-let hello_reply v =
-  String.concat " " (Printf.sprintf "v%d" v :: capabilities_of_version v)
-
-(** [min_version r] — lowest protocol version a connection must have
-    negotiated before the server accepts [r]; verbs above the
-    connection's version are refused with a pointed ERR. *)
-let min_version = function
-  | Bulk_chunk _ | Bulk_end _ | Bulk_abort _ -> 2
-  | Repl_subscribe _ | Repl_promote _ | Repl_status -> 3
-  | Hello _ | Load _ | Classify _ | Prepare _ | Ask _ | Stats _ | Metrics
-  | Fail _ | Quit ->
-    1
-
-(** [requires_v2 r] — requests refused on a bare (v1) connection. *)
-let requires_v2 r = min_version r > 1
+(** The HELLO reply payload line, the same for every connection. *)
+let hello_reply = Printf.sprintf "v%d bulk repl" version
 
 type reply =
   | Ok of string list
@@ -304,13 +290,8 @@ let parse_header d line =
   | [ "FAIL"; name; spec ] when valid_name name -> Request (Fail { name; spec })
   | "REPL" :: rest -> (
     match rest with
-    | [ "SUBSCRIBE"; fence ] | [ "SUBSCRIBE"; fence; _ ] -> (
-      let epoch =
-        match rest with
-        | [ _; _; e ] -> int_of_string_opt e
-        | _ -> Some 0
-      in
-      match (int_of_string_opt fence, epoch) with
+    | [ "SUBSCRIBE"; fence; epoch ] -> (
+      match (int_of_string_opt fence, int_of_string_opt epoch) with
       | Some f, Some e when f >= 0 && e >= 0 ->
         Request (Repl_subscribe { fence = f; epoch = e })
       | _ -> Error "bad REPL SUBSCRIBE fence or epoch")

@@ -130,12 +130,9 @@ let () =
   Parallel.Executor.drain (Server.Serve.executor srv);
   step conn (Server.Wire.Ask { session = "s"; query = Server.Wire.Named "people" });
 
-  (* protocol v2: BULK is refused on a v1 connection, negotiated in by
-     HELLO, and then streams chunk-atomic fact loads *)
-  print_endline "--- protocol v2: HELLO + BULK";
-  step conn
-    (Server.Wire.Bulk_chunk { session = "s"; payload = [ "c$Manager(\"carol\")" ] });
-  step conn (Server.Wire.Hello 2);
+  (* BULK needs no handshake: it streams chunk-atomic fact loads on the
+     same connection as every other verb *)
+  print_endline "--- BULK";
   step conn
     (Server.Wire.Bulk_chunk
        { session = "s"; payload = [ "c$Manager(\"carol\")"; "c$Employee(\"dan\")" ] });
@@ -149,7 +146,9 @@ let () =
   step conn (Server.Wire.Bulk_abort { session = "s" });
   step conn
     (Server.Wire.Ask { session = "s"; query = Server.Wire.Inline "x <- Manager(x)" });
-  (* a later HELLO can only be granted what the server speaks *)
+  (* HELLO is a capability probe: one constant reply, whatever the
+     number sent *)
+  step conn (Server.Wire.Hello 2);
   step conn (Server.Wire.Hello 99);
 
   step conn Server.Wire.Quit;

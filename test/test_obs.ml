@@ -154,6 +154,44 @@ let prop_concurrent_counters =
       total = domains * per_domain
       && Obs.Histogram.count h = domains * per_domain)
 
+(* two executors on one registry — a server's request and snapshot
+   executors under --data-dir — keep separate labelled series: one's
+   sheds never count as the other's, and each gauge holds its own *)
+let test_executors_share_registry () =
+  let r = Obs.Registry.create () in
+  let module E = Parallel.Executor in
+  let requests = E.create ~registry:r ~name:"requests" ~workers:2 ~queue_capacity:4 () in
+  let snapshot = E.create ~registry:r ~name:"snapshot" ~workers:1 ~queue_capacity:1 () in
+  Fun.protect ~finally:(fun () -> E.shutdown requests; E.shutdown snapshot)
+  @@ fun () ->
+  E.pause snapshot;
+  Alcotest.(check bool) "snapshot admits one" true (E.try_submit snapshot ignore);
+  Alcotest.(check bool) "snapshot sheds the next" false (E.try_submit snapshot ignore);
+  for _ = 1 to 3 do
+    Alcotest.(check bool) "request admitted" true (E.try_submit requests ignore)
+  done;
+  E.drain requests;
+  let labels ex = [ ("executor", ex) ] in
+  let count ex name = Obs.Counter.value (Obs.Registry.counter r ~labels:(labels ex) name) in
+  let gauge ex name = Obs.Gauge.value (Obs.Registry.gauge r ~labels:(labels ex) name) in
+  Alcotest.(check int) "requests submitted" 3 (count "requests" "obda_executor_submitted_total");
+  Alcotest.(check int) "requests rejected" 0 (count "requests" "obda_executor_rejected_total");
+  Alcotest.(check int) "requests completed" 3 (count "requests" "obda_executor_completed_total");
+  Alcotest.(check int) "snapshot submitted" 1 (count "snapshot" "obda_executor_submitted_total");
+  Alcotest.(check int) "snapshot rejected" 1 (count "snapshot" "obda_executor_rejected_total");
+  Alcotest.(check int) "snapshot completed" 0 (count "snapshot" "obda_executor_completed_total");
+  Alcotest.(check (float 0.)) "requests queue" 0. (gauge "requests" "obda_executor_queue_depth");
+  Alcotest.(check (float 0.)) "snapshot queue" 1. (gauge "snapshot" "obda_executor_queue_depth");
+  Alcotest.(check (float 0.)) "requests workers" 2. (gauge "requests" "obda_executor_workers");
+  Alcotest.(check (float 0.)) "snapshot workers" 1. (gauge "snapshot" "obda_executor_workers");
+  Alcotest.(check bool) "no unlabelled executor series" false
+    (List.exists
+       (fun s ->
+         s.Obs.labels = []
+         && String.length s.Obs.name > 14
+         && String.sub s.Obs.name 0 14 = "obda_executor_")
+       (Obs.Registry.samples r))
+
 let () =
   Alcotest.run "obs"
     [
@@ -171,6 +209,8 @@ let () =
           Alcotest.test_case "samples" `Quick test_registry_samples;
           Alcotest.test_case "exposition" `Quick test_exposition;
           Alcotest.test_case "spans" `Quick test_spans;
+          Alcotest.test_case "two executors, one registry" `Quick
+            test_executors_share_registry;
         ] );
       ( "concurrency",
         [ QCheck_alcotest.to_alcotest prop_concurrent_counters ] );

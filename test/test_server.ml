@@ -589,6 +589,61 @@ let test_loopback_client_stats () =
   | Result.Ok [] -> Alcotest.fail "empty exposition"
   | Result.Error e -> Alcotest.fail e
 
+(* A fresh connection that never sends HELLO: BULK and REPL verbs are
+   accepted like every other verb, and a HELLO sent afterwards is a
+   constant capability probe that changes nothing. *)
+let test_no_handshake_needed () =
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "obda-test-nohello-%d.sock" (Unix.getpid ()))
+  in
+  let status = "role=primary epoch=1 fence=0" in
+  let repl_hooks =
+    {
+      Server.Serve.rh_status = (fun () -> Wire.Ok [ status ]);
+      rh_promote = (fun ~epoch:_ -> Wire.Err "not promotable");
+      rh_subscribe = (fun ~fence:_ ~epoch:_ ~fd:_ ~reader:_ -> ());
+    }
+  in
+  let service =
+    Service.create ~registry:(Obs.Registry.create ())
+      ~config:{ Service.Config.default with lru = 8 } ()
+  in
+  let srv = Server.Serve.create ~repl_hooks service in
+  ignore (Server.Serve.listen_unix srv sock);
+  Server.Serve.start srv;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.Serve.stop srv);
+      try Unix.unlink sock with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let conn =
+    match Server.Client.connect ("unix:" ^ sock) with
+    | Result.Ok c -> c
+    | Result.Error e -> Alcotest.fail e
+  in
+  Fun.protect ~finally:(fun () -> Server.Client.close conn) @@ fun () ->
+  let ok req =
+    match Server.Client.request conn req with
+    | Result.Ok (Wire.Ok lines) -> lines
+    | Result.Ok (Wire.Err e) -> Alcotest.fail ("unexpected ERR " ^ e)
+    | Result.Ok Wire.Busy -> Alcotest.fail "unexpected BUSY"
+    | Result.Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string)) "BULK chunk" []
+    (ok (Wire.Bulk_chunk { session = "s"; payload = [ "t(\"a\")"; "t(\"b\")" ] }));
+  Alcotest.(check (list string)) "BULK END" [ "chunks 1 facts 2" ]
+    (ok (Wire.Bulk_end { session = "s" }));
+  Alcotest.(check (list string)) "REPL STATUS" [ status ] (ok Wire.Repl_status);
+  (match Server.Client.hello ~version:1 conn with
+   | Result.Ok (v, caps) ->
+     Alcotest.(check int) "advertised version" Wire.version v;
+     Alcotest.(check (list string)) "capabilities" [ "bulk"; "repl" ] caps
+   | Result.Error e -> Alcotest.fail e);
+  Alcotest.(check (list string)) "REPL STATUS after HELLO" [ status ]
+    (ok Wire.Repl_status)
+
 (* --------------------- the invalidation property --------------------- *)
 
 (* Random interleavings of updates and (frequently repeated) queries:
@@ -700,6 +755,11 @@ let () =
             test_lru_obs_registration;
           Alcotest.test_case "versioned STATS round-trip" `Quick
             test_loopback_client_stats;
+        ] );
+      ( "serve",
+        [
+          Alcotest.test_case "every verb without HELLO" `Quick
+            test_no_handshake_needed;
         ] );
       ( "invalidation-property",
         List.map
